@@ -10,7 +10,8 @@ F1-score per task (paper, Section III-B):
 * ``knn_t2vec``  — kNN under the learned embedding similarity,
 * ``similarity`` — synchronized-distance threshold queries,
 * ``clustering`` — TRACLUS pair-counting F1 (on a trajectory subset, since
-  segment grouping is quadratic).
+  segment grouping still takes quadratic time; its memory is blocked to
+  O(block x n)).
 
 The evaluator is built once per experiment and reused across methods and
 compression ratios so all methods face identical queries.

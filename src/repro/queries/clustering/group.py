@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.queries.clustering.distances import segment_distance
+from repro.queries.clustering.distances import segment_distance_blocks
 
 
 def dbscan_segments(
@@ -29,13 +29,13 @@ def dbscan_segments(
         return np.empty(0, dtype=int)
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    # Precompute the full neighbourhood structure once (O(n^2) distances).
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = segment_distance(segments[i], segments[j])
-            dist[i, j] = dist[j, i] = d
-    neighbours = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
+    # Neighbour lists are built one block of rows at a time: time is still
+    # O(n^2) distance evaluations, memory O(block x n) plus the lists.
+    neighbours = [
+        np.flatnonzero(row <= eps)
+        for _, block in segment_distance_blocks(segments)
+        for row in block
+    ]
     is_core = np.array([len(nb) >= min_lns for nb in neighbours])
 
     labels = np.full(n, -1, dtype=int)

@@ -14,6 +14,7 @@ import numpy as np
 from repro.data.database import TrajectoryDatabase
 from repro.queries.clustering.group import dbscan_segments
 from repro.queries.clustering.partition import characteristic_segments
+from repro.queries.metrics import clustering_pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,13 +46,7 @@ class TraclusResult:
 
     def trajectory_pairs(self) -> set[frozenset[int]]:
         """Unordered trajectory pairs that share at least one cluster."""
-        pairs: set[frozenset[int]] = set()
-        for members in self.clusters:
-            ids = sorted(members)
-            for i, a in enumerate(ids):
-                for b in ids[i + 1 :]:
-                    pairs.add(frozenset((a, b)))
-        return pairs
+        return clustering_pairs(self.clusters)
 
 
 def traclus_cluster(

@@ -363,9 +363,20 @@ class ReplicaSet:
         child_conn.close()
         return _Replica(proc, parent_conn, spawn_id)
 
-    def live_replicas(self) -> list[_Replica]:
+    def _probe(self) -> list[_Replica]:
+        """Snapshot the membership, first retiring every replica whose
+        process has exited (``Process.is_alive()``; no pipe traffic)."""
         with self._lock:
-            return [r for r in self.replicas if r.live]
+            replicas = list(self.replicas)
+        for replica in replicas:
+            if replica.live and not replica.proc.is_alive():
+                self.retire(replica)
+        return replicas
+
+    def live_replicas(self) -> list[_Replica]:
+        """Replicas whose process is alive: a SIGKILLed worker drops out
+        here at once, not on the next request that trips over it."""
+        return [r for r in self._probe() if r.live]
 
     def retire(self, replica: _Replica) -> None:
         """Mark a replica dead and reap it (idempotent, non-blocking).
@@ -402,10 +413,10 @@ class ReplicaSet:
         :meth:`abandon` on an abort path).
         """
         while True:
+            live = self.live_replicas()
+            if not live:
+                return None
             with self._lock:
-                live = [r for r in self.replicas if r.live]
-                if not live:
-                    return None
                 start = self._rr % len(live)
                 self._rr += 1
             rotation = live[start:] + live[:start]
@@ -563,6 +574,7 @@ class ReplicaSet:
         ``restart_latency_s`` covers spawn + replay + first heartbeat.
         Returns the number restarted.
         """
+        self._probe()  # a silently exited replica counts as retired
         restarted = 0
         for slot in range(len(self.replicas)):
             with self._lock:
@@ -632,11 +644,7 @@ class ReplicaSet:
         right here — liveness names dead replicas immediately instead of
         on the next scatter's EOF.
         """
-        with self._lock:
-            replicas = list(self.replicas)
-        for replica in replicas:
-            if replica.live and not replica.proc.is_alive():
-                self.retire(replica)
+        replicas = self._probe()
         live_pids = [r.proc.pid for r in replicas if r.live]
         dead = [slot for slot, r in enumerate(replicas) if not r.live]
         return {

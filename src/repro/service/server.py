@@ -515,10 +515,12 @@ class QueryServer:
                     raise RequestError(
                         f"trace must be a string or absent, got {trace_id!r}"
                     )
-                submitted_at = time.perf_counter()
                 if ftype == "request":
                     request = request_from_json(frame.get("request"))
                     self._admit()
+                    # Stamped after decode: the queue span starts where it
+                    # claims, at admission.
+                    submitted_at = time.perf_counter()
 
                     def thunk(request=request, trace_id=trace_id, t0=submitted_at):
                         return loop.run_in_executor(
@@ -534,6 +536,7 @@ class QueryServer:
                         )
                     trajectories = [trajectory_from_json(t) for t in batch]
                     self._admit()
+                    submitted_at = time.perf_counter()
 
                     def thunk(
                         trajectories=trajectories,

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.data import Trajectory, TrajectoryDatabase, synthetic_database
 from repro.workloads import RangeQueryWorkload
@@ -47,6 +48,49 @@ def make_trajectory(n: int = 10, seed: int = 0, traj_id: int = 0) -> Trajectory:
     xy = rng.uniform(0.0, 100.0, size=(n, 2))
     t = np.cumsum(rng.uniform(1.0, 5.0, size=n))
     return Trajectory(np.column_stack([xy, t]), traj_id=traj_id)
+
+
+@st.composite
+def segment_stacks(draw, max_base: int = 12, max_derived: int = 16) -> np.ndarray:
+    """``(n, 2, 2)`` segment stacks rich in the TRACLUS distance's edge cases.
+
+    Random base segments (integer coordinates give exact length ties) plus
+    segments derived from them at random positions: duplicates, reversals
+    (equal length, anti-parallel), 90-degree rotations (equal length),
+    collinear shifts (parallel or anti-parallel), points (zero length) and
+    segments too short to project onto (``length**2 <= 1e-12``).
+    """
+    coord = st.integers(-50, 50).map(float) | st.floats(
+        -1e3, 1e3, allow_nan=False, allow_infinity=False
+    )
+    base = draw(
+        st.lists(st.tuples(coord, coord, coord, coord), min_size=1, max_size=max_base)
+    )
+    segments = [np.array(b, dtype=float).reshape(2, 2) for b in base]
+    for _ in range(draw(st.integers(0, max_derived))):
+        src = segments[draw(st.integers(0, len(segments) - 1))]
+        kind = draw(
+            st.sampled_from(
+                ["duplicate", "reversed", "rotated", "shifted", "point", "tiny"]
+            )
+        )
+        (x0, y0), (x1, y1) = src
+        if kind == "duplicate":
+            new = src.copy()
+        elif kind == "reversed":
+            new = src[::-1].copy()
+        elif kind == "rotated":
+            new = np.array([[x0, y0], [x0 - (y1 - y0), y0 + (x1 - x0)]])
+        elif kind == "shifted":
+            new = src + draw(st.integers(-3, 3)) * (src[1] - src[0])
+            if draw(st.booleans()):
+                new = new[::-1].copy()
+        elif kind == "point":
+            new = np.array([[x0, y0], [x0, y0]])
+        else:
+            new = np.array([[x0, y0], [x0 + 1e-7, y0]])
+        segments.insert(draw(st.integers(0, len(segments))), new)
+    return np.stack(segments)
 
 
 @pytest.fixture

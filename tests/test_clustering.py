@@ -1,7 +1,11 @@
 """Unit tests for the TRACLUS substrate (partition, distance, group)."""
 
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.data import Trajectory, TrajectoryDatabase
 from repro.queries.clustering import (
@@ -12,6 +16,7 @@ from repro.queries.clustering import (
     traclus_cluster,
 )
 from repro.queries.clustering.partition import characteristic_segments
+from tests.conftest import segment_stacks
 
 
 def seg(x1, y1, x2, y2):
@@ -98,6 +103,39 @@ class TestMDLPartition:
             assert np.allclose(segment[1], random_trajectory.xy[e])
 
 
+def scalar_distances(segments):
+    """Pairwise scalar distances; the lower index of each pair is ``seg_a``."""
+    n = len(segments)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = segment_distance(segments[i], segments[j])
+    return dist
+
+
+def dbscan_reference(dist, eps, min_lns):
+    """DBSCAN over a full distance matrix: the reference the blocked
+    neighbour lists of :func:`dbscan_segments` must reproduce."""
+    n = len(dist)
+    neighbours = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
+    is_core = [len(nb) >= min_lns for nb in neighbours]
+    labels = np.full(n, -1, dtype=int)
+    cluster_id = 0
+    for seed in range(n):
+        if labels[seed] != -1 or not is_core[seed]:
+            continue
+        labels[seed] = cluster_id
+        queue = deque(neighbours[seed].tolist())
+        while queue:
+            j = queue.popleft()
+            if labels[j] == -1:
+                labels[j] = cluster_id
+                if is_core[j]:
+                    queue.extend(k for k in neighbours[j].tolist() if labels[k] == -1)
+        cluster_id += 1
+    return labels
+
+
 class TestDBSCAN:
     def test_empty_input(self):
         labels = dbscan_segments(np.empty((0, 2, 2)), eps=1.0, min_lns=2)
@@ -129,6 +167,40 @@ class TestDBSCAN:
         labels = dbscan_segments(np.stack(bundle_a + bundle_b), eps=2.0, min_lns=3)
         found = set(labels) - {-1}
         assert found == set(range(len(found)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        segments=segment_stacks(),
+        eps_frac=st.floats(0.0, 1.1),
+        min_lns=st.integers(1, 4),
+    )
+    def test_labels_match_scalar_reference(self, segments, eps_frac, min_lns):
+        dist = scalar_distances(segments)
+        eps = eps_frac * float(dist.max())
+        pairs = dist[np.triu_indices(len(segments), 1)]
+        # No pair may sit within rounding of eps, where <= could flip.
+        assume(np.all(np.abs(pairs - eps) > 1e-9 * np.maximum(pairs, eps)))
+        labels = dbscan_segments(segments, eps=eps, min_lns=min_lns)
+        assert np.array_equal(labels, dbscan_reference(dist, eps, min_lns))
+
+    def test_peak_memory_is_blocked_not_quadratic(self):
+        # About the size of the evaluation's clustering truth subset; a full
+        # distance matrix alone would take 8 * n * n bytes.
+        n = 800
+        rng = np.random.default_rng(3)
+        start = rng.uniform(0.0, 2000.0, size=(n, 2))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        step = rng.uniform(10.0, 300.0, size=(n, 1))
+        end = start + step * np.column_stack([np.cos(angle), np.sin(angle)])
+        segments = np.stack([start, end], axis=1)
+        tracemalloc.start()
+        try:
+            labels = dbscan_segments(segments, eps=100.0, min_lns=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.max() >= 1  # real neighbourhoods, not all noise
+        assert peak < 8 * n * n
 
 
 class TestTraclus:

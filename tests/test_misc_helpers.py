@@ -1,17 +1,21 @@
 """Tests for utility helpers not exercised elsewhere."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.simplification import insort_unique
 from repro.index import GridIndex
 from repro.queries.edr import edr_distance, edr_similarity_matrix
+from repro.queries.clustering import distances
 from repro.queries.clustering.distances import (
     segment_distance,
     segment_distance_matrix,
 )
 from repro.baselines.skyline import dominates
-from tests.conftest import make_trajectory
+from tests.conftest import make_trajectory, segment_stacks
 
 
 class TestInsortUnique:
@@ -60,6 +64,25 @@ class TestSegmentDistanceMatrix:
         assert matrix[1, 3] == pytest.approx(
             segment_distance(segments[1], segments[3])
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(segments=segment_stacks(), block_elements=st.integers(1, 64))
+    def test_every_entry_matches_scalar(self, segments, block_elements):
+        # A tiny element budget splits even small stacks into many blocks,
+        # including a ragged last one.
+        with mock.patch.object(distances, "_BLOCK_ELEMENTS", block_elements):
+            matrix = segment_distance_matrix(segments)
+        n = len(segments)
+        # The scalar oracle in upper-triangle order: on equal lengths the
+        # lower index is the longer segment, in both halves of the matrix.
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected[i, j] = expected[j, i] = segment_distance(
+                    segments[i], segments[j]
+                )
+        np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=0.0)
+        assert np.all(np.diag(matrix) == 0.0)
 
 
 class TestDominates:

@@ -19,6 +19,7 @@ Three contracts anchor this file:
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -460,6 +461,42 @@ class TestRemoteTracing:
                 assert client.last_trace_id == "caller-chosen-id"
             assert response.trace_id == "caller-chosen-id"
             assert handle.service.trace_export("caller-chosen-id")
+        finally:
+            handle.stop()
+
+    def test_queue_wait_starts_after_decode(self, monkeypatch):
+        """Decode is not queueing: with a decoder that takes 50 ms, an idle
+        server still records request and ingest queue waits far below it."""
+        import repro.service.server as server_module
+
+        def slow(decode):
+            def decode_slowly(*args, **kwargs):
+                time.sleep(0.05)
+                return decode(*args, **kwargs)
+
+            return decode_slowly
+
+        for name in ("request_from_json", "trajectory_from_json"):
+            monkeypatch.setattr(
+                server_module, name, slow(getattr(server_module, name))
+            )
+        db = small_db(10, seed=24)
+        workload = RangeQueryWorkload.from_data_distribution(db, 3, seed=4)
+        handle = serve_in_thread(QueryService(db, n_shards=2), close_service=True)
+        try:
+            with RemoteClient(handle.host, handle.port) as client:
+                client.range(workload)
+                trace = client.last_trace_id
+                client.ingest([db[0]])
+            waits = handle.service.stats.queue_wait
+            assert waits.count == 2  # one request, one ingest
+            assert waits.max < 0.025
+            spans = [
+                json.loads(line)
+                for line in handle.service.trace_export(trace).splitlines()
+            ]
+            (queue,) = [s for s in spans if s["name"] == "queue"]
+            assert queue["duration_s"] < 0.025
         finally:
             handle.stop()
 

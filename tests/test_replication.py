@@ -204,6 +204,19 @@ class TestFailover:
             kit = parity_kit(db, 31)
             assert_state_parity(service, db, *kit)
 
+    def test_live_replicas_drops_killed_worker_without_any_request(self):
+        db = initial_db(37, n=8)
+        with QueryService(
+            db, n_shards=2, executor="process", replicas=2
+        ) as service:
+            replica_set = service._executor.replica_sets[0]
+            victim, sibling = replica_set.live_replicas()
+            kill_replica(victim)
+            # No query, ping or liveness probe in between: the view itself
+            # consults the process, not a flag only a failed request flips.
+            assert replica_set.live_replicas() == [sibling]
+            assert not victim.live
+
     def test_hung_replica_misses_ping_deadline_and_is_retired(self):
         db = initial_db(41, n=8)
         with QueryService(
